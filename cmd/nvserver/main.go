@@ -30,9 +30,6 @@ func main() {
 		pool       = flag.Int("pool-pages", 1<<13, "per-shard B+-tree page pool capacity")
 		policy     = flag.String("policy", "SC", "persistence policy: ER, LA, AT, SC, SC-offline, BEST")
 		duration   = flag.Duration("duration", 0, "serve for this long, then shut down gracefully (0 = until SIGINT/SIGTERM)")
-		pipeline   = flag.Bool("pipeline", false, "asynchronous batched flush pipeline: overlap each batch's drain with the next batch's stores")
-		pipeDepth  = flag.Int("pipeline-depth", 256, "pipeline ring capacity in pending line flushes (backpressure bound)")
-		pipeBatch  = flag.Int("pipeline-batch", 64, "max lines per pipeline worker batch")
 		absorb     = flag.Bool("absorb", false, "logical write absorption: same-key batch coalescing plus the INCR/DECR counter accumulator in front of group commit")
 		absorbThr  = flag.Int("absorb-threshold", 0, "absorb: parked counter deltas that force an accumulator commit (0 = default)")
 		absorbDl   = flag.Duration("absorb-deadline", 0, "absorb: max time an acked counter delta may sit volatile (0 = default)")
@@ -59,9 +56,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Policy = pk
-	if *pipeline {
-		opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: *pipeDepth, BatchSize: *pipeBatch}
-	}
 	if *absorb {
 		opts.Absorb = kv.AbsorbConfig{Enabled: true, Threshold: *absorbThr, Deadline: *absorbDl}
 	}
@@ -115,9 +109,9 @@ func serve(addr string, opts kv.Options, duration time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d delay<=%v policy=%v pipeline=%v absorb=%v heap=%dKiB)\n",
+	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d delay<=%v policy=%v absorb=%v heap=%dKiB)\n",
 		srv.Addr(), opts.Shards, opts.MaxBatch, opts.MaxDelay, opts.Policy,
-		opts.Pipeline.Enabled, opts.Absorb.Enabled, h.Size()/1024)
+		opts.Absorb.Enabled, h.Size()/1024)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -222,7 +222,7 @@ func BenchmarkParallelStores(b *testing.B) {
 				opts.Policy = core.SoftCacheOnline
 				opts.DisableTrace = true
 				if mode == "pipeline" {
-					opts.Pipeline = core.PipelineConfig{Enabled: true}
+					opts.Pipeline = &core.PipelineConfig{}
 				}
 				rt := NewRuntime(h, opts)
 				const regionWords = 1 << 13

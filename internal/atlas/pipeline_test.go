@@ -2,16 +2,18 @@ package atlas
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"nvmcache/internal/core"
 	"nvmcache/internal/pmem"
+	"nvmcache/internal/trace"
 )
 
 // pipelineHeapWorkload runs a deterministic single-thread FASE workload and
 // returns the heap after a clean shutdown plus a simulated power cut: only
 // state the runtime actually persisted survives.
-func pipelineHeapWorkload(t *testing.T, cfg core.PipelineConfig, overlapped bool) (*pmem.Heap, uint64) {
+func pipelineHeapWorkload(t *testing.T, cfg *core.PipelineConfig, overlapped bool) (*pmem.Heap, uint64) {
 	t.Helper()
 	h := pmem.New(1 << 22)
 	opts := DefaultOptions()
@@ -65,7 +67,7 @@ func pipelineHeapWorkload(t *testing.T, cfg core.PipelineConfig, overlapped bool
 // plain FASEEnd, and through the overlapped publish/await protocol must
 // leave byte-identical durable heap images after a clean close.
 func TestPipelinePersistedEquivalence(t *testing.T) {
-	hSync, base := pipelineHeapWorkload(t, core.PipelineConfig{}, false)
+	hSync, base := pipelineHeapWorkload(t, nil, false)
 	want := hSync.ReadBytes(base, 1000*8)
 	nonzero := false
 	for _, b := range want {
@@ -79,12 +81,12 @@ func TestPipelinePersistedEquivalence(t *testing.T) {
 	}
 	variants := []struct {
 		name       string
-		cfg        core.PipelineConfig
+		cfg        *core.PipelineConfig
 		overlapped bool
 	}{
-		{"pipeline-fase-end", core.PipelineConfig{Enabled: true, Depth: 64, BatchSize: 8}, false},
-		{"pipeline-overlapped", core.PipelineConfig{Enabled: true, Depth: 64, BatchSize: 8}, true},
-		{"pipeline-synchronous", core.PipelineConfig{Enabled: true, Synchronous: true, Depth: 64, BatchSize: 8}, false},
+		{"pipeline-fase-end", &core.PipelineConfig{Depth: 64, BatchSize: 8}, false},
+		{"pipeline-overlapped", &core.PipelineConfig{Depth: 64, BatchSize: 8}, true},
+		{"pipeline-synchronous", &core.PipelineConfig{Synchronous: true, Depth: 64, BatchSize: 8}, false},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -107,7 +109,7 @@ func TestPipelineOverlapStats(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Policy = core.SoftCacheOnline
 	opts.DisableTrace = true
-	opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: 64, BatchSize: 8}
+	opts.Pipeline = &core.PipelineConfig{Depth: 64, BatchSize: 8}
 	rt := NewRuntime(h, opts)
 	th, err := rt.NewThread()
 	if err != nil {
@@ -142,4 +144,80 @@ func TestPipelineOverlapStats(t *testing.T) {
 		t.Fatal("Pipeline() accessor returned nil with pipeline enabled")
 	}
 	rt.Close()
+}
+
+// countingWrapper is fault-injection-style middleware over the pmem sink
+// that does not implement core.CaptureSink: a pipeline above it can only
+// hand the worker line addresses, and pmem would read those lines from the
+// volatile plane the mutator is storing to.
+type countingWrapper struct {
+	core.FlushSink
+	calls atomic.Int64
+}
+
+func (w *countingWrapper) FlushLine(line trace.LineAddr) {
+	w.calls.Add(1)
+	w.FlushSink.FlushLine(line)
+}
+
+func (w *countingWrapper) Drain(lines []trace.LineAddr) {
+	w.calls.Add(1)
+	w.FlushSink.Drain(lines)
+}
+
+// TestPipelineNonCaptureWrapperRunsInline wraps the pmem sink in a sink
+// that cannot capture and overlaps FASEs through the pipeline. The runtime
+// must run that thread's pipeline inline: every published epoch is already
+// persisted when FASEPublish returns, -race sees no worker reading a line
+// the mutator writes, and the durable image matches the synchronous run.
+func TestPipelineNonCaptureWrapperRunsInline(t *testing.T) {
+	hSync, base := pipelineHeapWorkload(t, nil, false)
+	want := hSync.ReadBytes(base, 1000*8)
+
+	h := pmem.New(1 << 22)
+	opts := DefaultOptions()
+	opts.Policy = core.SoftCacheOnline
+	opts.DisableTrace = true
+	opts.Pipeline = &core.PipelineConfig{Depth: 8, BatchSize: 4}
+	var wrapped *countingWrapper
+	opts.WrapSink = func(_ int32, inner core.FlushSink) core.FlushSink {
+		wrapped = &countingWrapper{FlushSink: inner}
+		return wrapped
+	}
+	rt := NewRuntime(h, opts)
+	b2, err := h.AllocLines(1000 * 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := rt.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev FASETicket
+	for f := 0; f < 30; f++ {
+		th.FASEBegin()
+		for w := 0; w < 50; w++ {
+			th.Store64(b2+uint64((f*13+w*7)%1000)*8, uint64(f*1000+w+1))
+		}
+		tk := th.FASEPublish()
+		if got, pub := th.Pipeline().Persisted(), th.FlushStats().PipeEpochs; int64(got) != pub {
+			t.Fatalf("FASE %d: epoch %d persisted of %d published: the pipeline is not inline", f, got, pub)
+		}
+		if f > 0 {
+			th.FASEAwait(prev)
+		}
+		prev = tk
+	}
+	th.FASEAwait(prev)
+	rt.Close()
+	if wrapped.calls.Load() == 0 {
+		t.Fatal("nothing reached the wrapped sink")
+	}
+	h.Crash()
+	if b2 != base {
+		t.Fatalf("allocator diverged: base %#x vs %#x", b2, base)
+	}
+	if !bytes.Equal(h.ReadBytes(b2, 1000*8), want) {
+		t.Fatal("durable image diverges from the synchronous baseline")
+	}
 }

@@ -59,14 +59,18 @@ type Options struct {
 	// exact boundary; internal/faultinject drives crash-point exploration
 	// through it.
 	UndoHook func(op UndoOp)
-	// Pipeline, when Enabled, wraps every thread's flush sink in a
+	// Pipeline, when non-nil, wraps every thread's flush sink in a
 	// core.FlushPipeline: evictions become background write-backs and
 	// FASE-end drains become epoch publish/await. Each thread additionally
 	// gets a second undo log so FASEPublish/FASEAwait can overlap one
 	// FASE's drain with the next FASE's stores. The pipeline wraps *above*
 	// WrapSink, so fault-injection middleware observes the batched calls
-	// the worker makes against the real sink.
-	Pipeline core.PipelineConfig
+	// the worker makes against the real sink. A wrapped sink that is not a
+	// core.CaptureSink cannot be drained off the mutator (the worker would
+	// read the volatile plane while the mutator stores to it), so such a
+	// thread's pipeline runs Synchronous. Nil keeps the plain synchronous
+	// sink.
+	Pipeline *core.PipelineConfig
 }
 
 // DefaultOptions uses the adaptive software cache with paper constants.
@@ -74,7 +78,11 @@ func DefaultOptions() Options {
 	return Options{Policy: core.SoftCacheOnline, Config: core.DefaultConfig(), LogEntries: 1 << 12}
 }
 
-// Runtime owns a persistent heap and its threads.
+// Runtime owns a persistent heap and its threads. A heap has at most one
+// live Runtime: NewThread reuses registered undo logs that are committed
+// and empty, which is only sound when no other runtime's thread could be
+// between FASEs on one of them. Reattaching after a crash or a Close (the
+// previous runtime is dead) is the intended use.
 type Runtime struct {
 	heap *pmem.Heap
 	opts Options
@@ -83,7 +91,8 @@ type Runtime struct {
 	// Close) load the pointer and walk an immutable slice; NewThread copies
 	// under mu and swaps the pointer. Mutator threads never touch it.
 	threads atomic.Pointer[[]*Thread]
-	mu      sync.Mutex // serializes NewThread and Close
+	mu      sync.Mutex          // serializes NewThread and Close
+	claimed map[uint64]struct{} // undo logs owned by this runtime's threads
 	nextID  int32
 }
 
@@ -93,7 +102,7 @@ func NewRuntime(heap *pmem.Heap, opts Options) *Runtime {
 	if opts.LogEntries <= 0 {
 		opts.LogEntries = 1 << 12
 	}
-	rt := &Runtime{heap: heap, opts: opts}
+	rt := &Runtime{heap: heap, opts: opts, claimed: make(map[uint64]struct{})}
 	rt.threads.Store(&[]*Thread{})
 	return rt
 }
@@ -107,25 +116,27 @@ func (rt *Runtime) snapshot() []*Thread { return *rt.threads.Load() }
 // NewThread registers a new mutator thread with its own software cache,
 // undo log, flush sink and trace recorder. Threads are independent (no
 // shared policy state), mirroring the paper's per-thread, lock-free cache
-// design.
+// design. The thread's undo logs are registered logs reclaimed from earlier
+// runtimes on this heap when any fit (see claimUndoLog), so reattaching
+// after any number of crashes does not grow the heap.
 func (rt *Runtime) NewThread() (*Thread, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	id := rt.nextID
 	rt.nextID++
-	log, err := newUndoLog(rt.heap, rt.opts.LogEntries, rt.opts.UndoHook)
-	if err != nil {
-		return nil, fmt.Errorf("atlas: creating undo log for thread %d: %w", id, err)
-	}
-	logs := []*undoLog{log}
-	if rt.opts.Pipeline.Enabled {
+	nlogs := 1
+	if rt.opts.Pipeline != nil {
 		// A second log lets FASEPublish leave one FASE draining while the
 		// next FASE records into the other log.
-		log2, err := newUndoLog(rt.heap, rt.opts.LogEntries, rt.opts.UndoHook)
+		nlogs = 2
+	}
+	logs := make([]*undoLog, 0, nlogs)
+	for len(logs) < nlogs {
+		log, err := claimUndoLog(rt.heap, rt.opts.LogEntries, rt.opts.UndoHook, rt.claimed)
 		if err != nil {
-			return nil, fmt.Errorf("atlas: creating overlap undo log for thread %d: %w", id, err)
+			return nil, fmt.Errorf("atlas: creating undo log for thread %d: %w", id, err)
 		}
-		logs = append(logs, log2)
+		logs = append(logs, log)
 	}
 	var sink core.FlushSink = pmem.NewSink(rt.heap)
 	if rt.opts.WrapSink != nil {
@@ -138,8 +149,12 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 		logs: logs,
 		sink: sink,
 	}
-	if rt.opts.Pipeline.Enabled {
-		t.pipeline = core.NewFlushPipeline(sink, rt.opts.Pipeline)
+	if rt.opts.Pipeline != nil {
+		cfg := *rt.opts.Pipeline
+		if _, ok := sink.(core.CaptureSink); !ok {
+			cfg.Synchronous = true
+		}
+		t.pipeline = core.NewFlushPipeline(sink, cfg)
 		t.sink = t.pipeline
 	}
 	t.policy = core.NewPolicy(rt.opts.Policy, rt.opts.Config, t.sink)
@@ -239,6 +254,7 @@ type Thread struct {
 	// older FASE clobber a newer committed one).
 	outstanding []pendingFASE
 	pubSeq      uint64
+	committed   uint64 // id of the newest published FASE whose log committed
 }
 
 // pendingFASE is one published-but-not-durable FASE.
@@ -358,10 +374,12 @@ func (t *Thread) FASEPublish() FASETicket {
 // then commits its undo log. Outstanding FASEs older than tk are awaited
 // and committed first — commits are strictly FIFO, because recovery rolls
 // back *active* logs and an out-of-order commit would let an older FASE's
-// rollback clobber a newer committed FASE's writes.
-func (t *Thread) FASEAwait(tk FASETicket) {
+// rollback clobber a newer committed FASE's writes. It reports whether the
+// FASE is durable: false when the pipeline was aborted (the crash path)
+// before its log committed, in which case recovery rolls the FASE back.
+func (t *Thread) FASEAwait(tk FASETicket) (durable bool) {
 	if !tk.pending {
-		return
+		return true
 	}
 	for len(t.outstanding) > 0 && t.outstanding[0].id <= tk.id {
 		p := t.outstanding[0]
@@ -369,8 +387,10 @@ func (t *Thread) FASEAwait(tk FASETicket) {
 		t.pipeline.Await(p.epoch)
 		if !t.pipeline.Aborted() {
 			p.log.commit()
+			t.committed = p.id
 		}
 	}
+	return t.committed >= tk.id
 }
 
 // awaitOutstanding awaits and commits every published FASE.
@@ -521,7 +541,7 @@ func (t *Thread) finish() {
 func (t *Thread) Policy() core.Policy { return t.policy }
 
 // Pipeline returns the thread's flush pipeline, or nil when
-// Options.Pipeline is disabled (for batch-size histogram inspection).
+// Options.Pipeline is nil (for batch-size histogram inspection).
 func (t *Thread) Pipeline() *core.FlushPipeline { return t.pipeline }
 
 // SetRecording toggles trace recording mid-run, outside any FASE. Workload

@@ -22,6 +22,7 @@ import (
 //	base+0:  status (1 = active FASE, 0 = committed)
 //	base+8:  entry count
 //	base+16: begin sequence (global order of FASE begins; see below)
+//	base+24: capacity in entries (0 in logs written before it was recorded)
 //	base+64: entries, 16 bytes each: data address, old value
 //
 // Logs are registered in a registry block pointed to by the heap's Meta
@@ -36,6 +37,11 @@ import (
 // the oldest pre-image. Recover therefore applies active logs in
 // descending begin order (logs from heaps predating this word read
 // sequence 0 and keep their registry order).
+//
+// The capacity word lets a later runtime reuse a registered log instead
+// of allocating a new one (claimUndoLog): after Recover every log is
+// committed and empty, so a store can crash and reattach indefinitely in a
+// fixed heap. A log whose capacity is not recorded is never reused.
 const (
 	logHeaderSize = trace.LineSize
 	logEntrySize  = 16
@@ -44,6 +50,7 @@ const (
 	logStatusOff  = 0
 	logCountOff   = 8
 	logSeqOff     = 16
+	logCapOff     = 24
 )
 
 // undoSeq numbers FASE begins globally (content only matters relative to
@@ -130,25 +137,45 @@ func ensureRegistry(h *pmem.Heap) (uint64, error) {
 	return reg, nil
 }
 
-func newUndoLog(h *pmem.Heap, entries int, hook func(UndoOp)) (*undoLog, error) {
+// claimUndoLog returns an undo log of at least entries capacity for a new
+// thread: the first registered log that is committed, empty, has a
+// recorded capacity that large and is not in claimed — or, when none is,
+// a newly allocated and registered one. The log's base is added to
+// claimed.
+func claimUndoLog(h *pmem.Heap, entries int, hook func(UndoOp), claimed map[uint64]struct{}) (*undoLog, error) {
 	reg, err := ensureRegistry(h)
 	if err != nil {
 		return nil, err
 	}
 	n := h.ReadUint64(reg)
-	if n >= registryCap {
-		return nil, fmt.Errorf("atlas: log registry full (%d logs)", n)
+	if n > registryCap {
+		return nil, fmt.Errorf("atlas: corrupt registry count %d", n)
 	}
-	base, err := h.AllocLines(uint64(logHeaderSize + entries*logEntrySize))
-	if err != nil {
-		return nil, fmt.Errorf("atlas: allocating undo log: %w", err)
+	base := uint64(0)
+	for i := uint64(0); i < n && base == 0; i++ {
+		b := h.ReadUint64(reg + 8 + 8*i)
+		if _, taken := claimed[b]; !taken &&
+			h.ReadUint64(b+logStatusOff) == 0 && h.ReadUint64(b+logCountOff) == 0 &&
+			h.ReadUint64(b+logCapOff) >= uint64(entries) {
+			base = b
+		}
 	}
-	h.WriteUint64(base+logStatusOff, 0)
-	h.WriteUint64(base+logCountOff, 0)
-	h.Persist(base, logHeaderSize)
-	h.WriteUint64(reg+8+8*n, base)
-	h.WriteUint64(reg, n+1)
-	h.Persist(reg, 8+8*(n+1))
+	if base == 0 {
+		if n == registryCap {
+			return nil, fmt.Errorf("atlas: log registry full (%d logs)", n)
+		}
+		if base, err = h.AllocLines(uint64(logHeaderSize + entries*logEntrySize)); err != nil {
+			return nil, fmt.Errorf("atlas: allocating undo log: %w", err)
+		}
+		h.WriteUint64(base+logStatusOff, 0)
+		h.WriteUint64(base+logCountOff, 0)
+		h.WriteUint64(base+logCapOff, uint64(entries))
+		h.Persist(base, logHeaderSize)
+		h.WriteUint64(reg+8+8*n, base)
+		h.WriteUint64(reg, n+1)
+		h.Persist(reg, 8+8*(n+1))
+	}
+	claimed[base] = struct{}{}
 	return &undoLog{
 		heap:  h,
 		base:  base,

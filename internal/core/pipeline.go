@@ -42,11 +42,11 @@ type CaptureSink interface {
 // the inner sink and the inner sink's drain barrier has completed.
 type Epoch uint64
 
-// PipelineConfig configures a FlushPipeline.
+// PipelineConfig configures a FlushPipeline. Whether a pipeline exists at
+// all is the caller's choice (atlas.Options.Pipeline is a pointer whose nil
+// keeps the plain synchronous sink); the zero value is a valid
+// configuration with every field defaulted.
 type PipelineConfig struct {
-	// Enabled turns the pipeline on. The zero value keeps the historical
-	// synchronous sink behavior (no pipeline is constructed at all).
-	Enabled bool
 	// Depth is the ring capacity in pending line flushes. A full ring
 	// applies backpressure: the mutator blocks until the worker frees a
 	// slot (the paper's bounded-stall property, made explicit). Default 256.
@@ -107,7 +107,8 @@ const pipeBatchBuckets = 8
 // epoch and awaits its persistence. When the inner sink implements
 // CaptureSink the line's volatile contents are snapshotted at enqueue time
 // on the mutator, so the worker never races mutator stores; otherwise the
-// worker forwards addresses only (counting/device sinks).
+// worker forwards addresses only, which is safe only for sinks that never
+// read the data (counting/device sinks) or in Synchronous mode.
 //
 // One pipeline serves one mutator goroutine (the single-writer-per-line
 // discipline of the runtime); Stats and Await may be called from others.

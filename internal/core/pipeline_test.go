@@ -44,10 +44,10 @@ func TestPipelineEquivalence(t *testing.T) {
 				var pipe *FlushPipeline
 				switch mode {
 				case "sync-pipe":
-					pipe = NewFlushPipeline(inner, PipelineConfig{Enabled: true, Synchronous: true, Depth: 32, BatchSize: 8})
+					pipe = NewFlushPipeline(inner, PipelineConfig{Synchronous: true, Depth: 32, BatchSize: 8})
 					sink = pipe
 				case "async-pipe":
-					pipe = NewFlushPipeline(inner, PipelineConfig{Enabled: true, Depth: 32, BatchSize: 8})
+					pipe = NewFlushPipeline(inner, PipelineConfig{Depth: 32, BatchSize: 8})
 					sink = pipe
 				}
 				pipelineWorkload(NewPolicy(kind, DefaultConfig(), sink))
@@ -82,7 +82,7 @@ func TestPipelineEquivalence(t *testing.T) {
 // epoch persists.
 func TestPipelineConcurrentAwait(t *testing.T) {
 	inner := NewCountingSink(nil)
-	p := NewFlushPipeline(inner, PipelineConfig{Enabled: true, Depth: 16, BatchSize: 4})
+	p := NewFlushPipeline(inner, PipelineConfig{Depth: 16, BatchSize: 4})
 	const epochs = 200
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -134,7 +134,7 @@ func (s *slowSink) Drain(lines []trace.LineAddr) {
 // is accounted, and every line still reaches the sink.
 func TestPipelineBackpressure(t *testing.T) {
 	inner := &slowSink{delay: 500 * time.Microsecond}
-	p := NewFlushPipeline(inner, PipelineConfig{Enabled: true, Depth: 8, BatchSize: 4})
+	p := NewFlushPipeline(inner, PipelineConfig{Depth: 8, BatchSize: 4})
 	const lines = 64
 	for i := 0; i < lines; i++ {
 		p.FlushLine(trace.LineAddr(i))
@@ -170,7 +170,7 @@ func (s *gateSink) Drain(lines []trace.LineAddr) {
 func TestPipelineAbortReleasesAwaiters(t *testing.T) {
 	gate := make(chan struct{})
 	inner := &gateSink{gate: gate}
-	p := NewFlushPipeline(inner, PipelineConfig{Enabled: true})
+	p := NewFlushPipeline(inner, PipelineConfig{})
 	e := p.Publish([]trace.LineAddr{1, 2, 3})
 	awaitDone := make(chan struct{})
 	go func() {
@@ -207,7 +207,7 @@ func TestPipelineAbortReleasesAwaiters(t *testing.T) {
 // awaiting, and a defer window with no drain still yields a usable epoch.
 func TestPipelineDeferredPublish(t *testing.T) {
 	inner := &RecordingSink{}
-	p := NewFlushPipeline(inner, PipelineConfig{Enabled: true})
+	p := NewFlushPipeline(inner, PipelineConfig{})
 	p.DeferNextDrain()
 	p.Drain([]trace.LineAddr{10, 11})
 	e := p.TakeDeferred()

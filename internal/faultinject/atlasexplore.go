@@ -78,6 +78,10 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 		return nil, 0, fmt.Errorf("faultinject: alloc data region: %w", err)
 	}
 	h.SetRoot(dataBase)
+	var pipe *core.PipelineConfig
+	if opt.Pipeline {
+		pipe = pipelineConfig(inj)
+	}
 	rt := atlas.NewRuntime(h, atlas.Options{
 		Policy:       opt.Policy,
 		Config:       opt.Config,
@@ -91,7 +95,7 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 			return s
 		},
 		UndoHook: inj.UndoHook(),
-		Pipeline: pipelineConfig(opt.Pipeline, inj),
+		Pipeline: pipe,
 	})
 	th, err := rt.NewThread()
 	if err != nil {

@@ -116,20 +116,16 @@ func FuzzAbsorb(f *testing.F) {
 // configuration: the low bits pick the explicit-checkpoint cadence (every
 // 1st to 5th op — cadence 1 checkpoints after every single commit, so the
 // journal suffix is always one entry; cadence 5 leaves long suffixes and
-// multiple generations per image), the high bit stacks the overlapped
-// commit pipeline underneath.
+// multiple generations per image). The other bits are ignored, so every
+// byte, including those of checked-in corpus entries, decodes to a shape.
 func ckptShape(b byte) KVOptions {
-	o := KVOptions{
-		Shards: 2,
-		Keys:   4,
-		Policy: core.SoftCacheOnline,
-		Config: core.DefaultConfig(),
+	return KVOptions{
+		Shards:          2,
+		Keys:            4,
+		Policy:          core.SoftCacheOnline,
+		Config:          core.DefaultConfig(),
+		CheckpointEvery: int(b&0x07)%5 + 1,
 	}
-	o.CheckpointEvery = int(b&0x07)%5 + 1
-	if b&0x80 != 0 {
-		o.Pipeline = true
-	}
-	return o
 }
 
 // FuzzCheckpointRecover fuzzes the checkpoint/recovery crash contract

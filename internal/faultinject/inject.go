@@ -258,8 +258,8 @@ func (in *Injector) PipeEnqueue(trace.LineAddr) { in.Point(KindPipeEnqueue) }
 // a background worker goroutine could not be recovered by the mutator —
 // with small ring/batch bounds so batching boundaries are actually hit.
 // inj is nil for recovery stores, which must replay no faults.
-func pipelineConfig(enabled bool, inj *Injector) core.PipelineConfig {
-	cfg := core.PipelineConfig{Enabled: enabled, Synchronous: true, Depth: 64, BatchSize: 8}
+func pipelineConfig(inj *Injector) *core.PipelineConfig {
+	cfg := &core.PipelineConfig{Synchronous: true, Depth: 64, BatchSize: 8}
 	if inj != nil {
 		cfg.OnEnqueue = inj.PipeEnqueue
 	}

@@ -144,7 +144,7 @@ func overlapOnce(opt OverlapOptions, pipelined bool) (OverlapRow, []int64, error
 	aopts.Policy = opt.Policy
 	aopts.DisableTrace = true
 	if pipelined {
-		aopts.Pipeline = core.PipelineConfig{Enabled: true, Depth: opt.Depth, BatchSize: opt.BatchSize}
+		aopts.Pipeline = &core.PipelineConfig{Depth: opt.Depth, BatchSize: opt.BatchSize}
 	}
 	rt := atlas.NewRuntime(h, aopts)
 	th, err := rt.NewThread()

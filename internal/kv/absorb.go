@@ -372,23 +372,8 @@ func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
 		nackAll(plan.acks, ErrCrashed)
 		return true
 	}
-	crash := func(fn func()) bool {
-		if sh.crashedDuring(fn) {
-			sh.st.initiateCrash(sh)
-			nackAll(plan.acks, ErrCrashed)
-			return true
-		}
-		return false
-	}
-	if hook := sh.st.opts.AckHook; hook != nil {
-		if crash(func() { hook(sh.id) }) {
-			return true
-		}
-	}
-	if plan.fold {
-		if crash(func() { sh.absorbHook(AbsorbAck) }) {
-			return true
-		}
+	if sh.crossAckBoundary(plan.acks, plan.fold) {
+		return true
 	}
 	logical := uint64(logicalOps(plan.acks))
 	sh.noteOps(plan.acks)

@@ -44,18 +44,9 @@ func (sc *shardControl) SetBatchBounds(maxBatch int, maxDelay time.Duration) {
 	sc.sh.maxDelayNs.Store(int64(maxDelay))
 }
 
-func (sc *shardControl) PipeDepth() int {
-	if p := sc.sh.th.Pipeline(); p != nil {
-		return p.Depth()
-	}
-	return 0
-}
+func (sc *shardControl) PipeDepth() int { return sc.sh.th.Pipeline().Depth() }
 
-func (sc *shardControl) SetPipeDepth(depth int) {
-	if p := sc.sh.th.Pipeline(); p != nil {
-		p.SetDepth(depth)
-	}
-}
+func (sc *shardControl) SetPipeDepth(depth int) { sc.sh.th.Pipeline().SetDepth(depth) }
 
 func (sc *shardControl) AbsorbDeadline() time.Duration {
 	if !sc.sh.absorbOn() {

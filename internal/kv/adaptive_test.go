@@ -100,7 +100,7 @@ func TestAdaptiveGaugesNilWhenDisabled(t *testing.T) {
 // the batch-bound atomics must be race-clean. Run with -race.
 func TestResizeRacesStoresAndDrains(t *testing.T) {
 	opts := adaptiveOptions()
-	opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: 64, BatchSize: 16}
+	opts.Pipeline = core.PipelineConfig{Depth: 64, BatchSize: 16}
 	s := newStore(t, opts)
 	defer s.Close()
 

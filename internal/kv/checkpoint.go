@@ -617,10 +617,14 @@ func recoverShardCkpt(db *mdb.DB, ck *shardCkpt, rhook func(atlas.RecoverOp), ch
 		}
 	}
 
-	// Legacy: trust the rolled-back tree, then repair the invariant with a
-	// fresh full-state image so the *next* recovery is bounded again.
+	// Legacy: trust the rolled-back tree (returning the pages the crash
+	// leaked to its pool), then repair the invariant with a fresh
+	// full-state image so the *next* recovery is bounded again.
 	r.mode = RecoveryModeLegacy
 	r.fallbacks = uint64(torn + len(imgs))
+	if _, err := db.ReclaimLeaked(); err != nil {
+		return r, err
+	}
 	published, _, _, err := publishImage(db, ck, chook)
 	if err != nil {
 		return r, err

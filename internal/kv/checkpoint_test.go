@@ -301,8 +301,8 @@ func TestCheckpointOverflowDegradesToLegacy(t *testing.T) {
 // journals, no images (the aux word stays zero), and the recovery is
 // bit-deterministic: a byte-level clone of the heap recovers to a
 // byte-identical image. (The heap is not literally unmodified — recovery
-// has always allocated fresh runtime structures, moving the allocation
-// cursor — so determinism plus aux==0 is the checkable contract.)
+// rewrites each shard's page-pool free list — so determinism plus aux==0
+// is the checkable contract.)
 func TestRecoverLegacyHeapUntouched(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 2

@@ -2,7 +2,9 @@ package kv
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,7 +104,9 @@ func TestCrashMidFASEZeroAckedLoss(t *testing.T) {
 }
 
 // TestExternalCrash crashes from outside the writers (the coordinator
-// path cmd/nvserver's self-test uses) under concurrent load.
+// path cmd/nvserver's self-test uses) under concurrent load, so a batch
+// may be published but not yet settled when the power fails: its writes
+// were never acked and recovery rolls it back.
 func TestExternalCrash(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 2
@@ -161,5 +165,120 @@ func TestExternalCrash(t *testing.T) {
 	}
 	if len(acked) == 0 {
 		t.Fatal("nothing acked before crash")
+	}
+}
+
+// TestCrashLoopSoak crashes and recovers one store over and over in a heap
+// of exactly RecommendedHeapBytes, with concurrent writers in flight at
+// every crash, with checkpointing off and on. Every Recover reuses the
+// undo logs the previous runtime registered and returns leaked pages to
+// the pools, so from the first recovery on the registry
+// (RecoveryReport.LogsScanned) and every shard's page pool stay the same
+// size, and no cycle loses an acked write.
+func TestCrashLoopSoak(t *testing.T) {
+	const cycles = 100
+	for _, mode := range []struct {
+		name string
+		ckpt bool
+	}{{"plain", false}, {"checkpoint", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Shards = 2
+			opts.MaxBatch = 8
+			opts.MaxDelay = 100 * time.Microsecond
+			opts.PoolPages = 256
+			opts.LogEntries = 1 << 11
+			if mode.ckpt {
+				opts.Checkpoint = CheckpointConfig{Enabled: true, IntervalBatches: 8, JournalOps: 256, MaxPairs: 256}
+			}
+			const writers, keysPer = 4, 16
+			h := pmem.New(int(RecommendedHeapBytes(opts)))
+			s, err := Open(h, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// want holds each key's last acked value (writer w owns keys
+			// [w*keysPer, (w+1)*keysPer)); maybe[w] is the write writer w
+			// had in flight when the crash cut it off.
+			want := make([]uint64, writers*keysPer)
+			pairs := make([]Pair, 0, writers*keysPer)
+			for k := range want {
+				want[k] = uint64(k)
+				pairs = append(pairs, Pair{K: uint64(k), V: uint64(k)})
+			}
+			if err := s.PutBatch(pairs); err != nil {
+				t.Fatal(err)
+			}
+			var logs int
+			var pool []int
+			for c := 1; c <= cycles; c++ {
+				maybe := make([]Pair, writers)
+				// The crash lands once the writers have acked 24 puts.
+				var acked atomic.Int64
+				ready := make(chan struct{})
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; ; i++ {
+							k := uint64(w*keysPer + i%keysPer)
+							v := uint64(c)<<32 | uint64(i)<<8 | k
+							maybe[w] = Pair{K: k, V: v}
+							if err := s.Put(k, v); err != nil {
+								if !errors.Is(err, ErrCrashed) {
+									t.Errorf("cycle %d writer %d: %v", c, w, err)
+								}
+								return
+							}
+							want[k] = v
+							maybe[w] = Pair{}
+							if acked.Add(1) == 24 {
+								close(ready)
+							}
+						}
+					}(w)
+				}
+				select {
+				case <-ready:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("cycle %d: writers acked only %d puts", c, acked.Load())
+				}
+				if err := s.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				wg.Wait()
+				s2, rep, err := Recover(h, opts)
+				if err != nil {
+					t.Fatalf("cycle %d: recover: %v", c, err)
+				}
+				s = s2
+				remaining := make([]int, len(s.shards))
+				for i, sh := range s.shards {
+					remaining[i] = sh.db.PoolRemaining()
+				}
+				if c == 1 {
+					logs, pool = rep.LogsScanned, remaining
+				} else if rep.LogsScanned != logs || !slices.Equal(remaining, pool) {
+					t.Fatalf("cycle %d: %d undo logs, pool remaining %v; cycle 1 had %d, %v",
+						c, rep.LogsScanned, remaining, logs, pool)
+				}
+				for k, v := range want {
+					got, ok, err := s.Get(uint64(k))
+					if err != nil || !ok {
+						t.Fatalf("cycle %d: key %d: %v, present=%v", c, k, err, ok)
+					}
+					if got != v {
+						if m := maybe[k/keysPer]; m.K != uint64(k) || m.V != got {
+							t.Fatalf("cycle %d: key %d = %#x, last acked %#x", c, k, got, v)
+						}
+						want[k] = got
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

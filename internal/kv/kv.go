@@ -12,10 +12,12 @@
 // crash (see Crash and Recover).
 //
 // Reads never enter the writer queue: they are snapshot reads against the
-// last committed root, published atomically by the writer. Superseded
-// pages are reclaimed only once no snapshot that can still see them is
-// live (deferred reclamation via mdb.SetFreeHook), so readers never block
-// writers and writers never invalidate readers.
+// last durable root the writer installed. Pinning a snapshot takes the
+// shard's snapshot mutex for a map update, which the writer also takes
+// briefly to install a root or park freed pages; reads are not lock-free.
+// Superseded pages are reclaimed only once no snapshot that can still see
+// them is live (deferred reclamation via mdb.SetFreeHook), so writers never
+// invalidate readers.
 package kv
 
 import (
@@ -67,12 +69,12 @@ type Options struct {
 	// (default: the paper's online-adaptive software cache).
 	Policy core.PolicyKind
 	Config core.Config
-	// Pipeline, when Enabled, gives every shard thread an asynchronous
-	// batched flush pipeline (core.FlushPipeline) and switches the writer
-	// to the overlapped commit protocol: batch N's FASE is published
-	// (mdb.CommitPublish) and batch N+1's stores and undo logging run
-	// while batch N drains in the background; acks still wait for
-	// durability (settle), only the wait moves off the apply path.
+	// Pipeline sizes every shard thread's asynchronous batched flush
+	// pipeline (core.FlushPipeline), which carries the writer's only commit
+	// protocol: batch N's FASE is published (mdb.CommitPublish) and batch
+	// N+1's stores and undo logging run while batch N drains in the
+	// background; acks still wait for durability (settle), only the wait
+	// moves off the apply path. The zero value takes core's defaults.
 	Pipeline core.PipelineConfig
 	// Adaptive, when Enabled, runs the online control plane
 	// (internal/adaptive): per-shard samplers tap the store stream, and a
@@ -175,20 +177,16 @@ func (o Options) withDefaults() Options {
 }
 
 // RecommendedHeapBytes estimates the persistent heap a store with these
-// options needs, including headroom for the fresh undo logs each recovery
-// allocates (the registry grows across restarts).
+// options needs. It does not grow with restarts: each Recover reuses the
+// undo logs registered by the runtime before it.
 func RecommendedHeapBytes(o Options) uint64 {
 	o = o.withDefaults()
-	logs := uint64(1)
-	if o.Pipeline.Enabled {
-		logs = 2 // the spare overlap log each pipelined thread allocates
-	}
+	// Each shard thread has its FASE log plus the spare the overlap uses.
+	const logs = 2
 	perShard := uint64(192)*uint64(o.PoolPages) + // page pool arena
 		logs*16*uint64(o.LogEntries) + // undo log entries
 		8*64 // meta page, pool header, log headers, slack
 	total := uint64(o.Shards) * perShard
-	restarts := uint64(4) // undo logs re-allocated per recovery
-	total += restarts * uint64(o.Shards) * logs * (16*uint64(o.LogEntries) + 64)
 	total += 64 + 8*uint64(o.Shards) + 1<<14 // directory + registry + slack
 	if c := o.Checkpoint; c.Enabled {
 		perShard := pmem.CheckpointRegionSize(16*uint64(c.MaxPairs)) +
@@ -241,7 +239,7 @@ func runtimeOptions(o Options, taps []*adaptive.Tap) atlas.Options {
 	// Trace recording is always off: a serving store runs indefinitely and
 	// per-store trace buffers grow without bound.
 	ro := atlas.Options{Policy: o.Policy, Config: o.Config, LogEntries: o.LogEntries, DisableTrace: true,
-		WrapSink: o.WrapSink, UndoHook: o.UndoHook, Pipeline: o.Pipeline}
+		WrapSink: o.WrapSink, UndoHook: o.UndoHook, Pipeline: &o.Pipeline}
 	if taps != nil {
 		ro.StoreTap = func(thread int32) core.StoreTap {
 			if int(thread) < len(taps) {
@@ -325,9 +323,10 @@ func crashGuard(claim func(any) bool, fn func()) (crashed bool) {
 // the redo-journal suffix behind it — work bounded by the checkpoint
 // interval, not the store's history — with shards recovered in parallel by
 // a pool of Checkpoint.RecoverWorkers goroutines. A legacy heap (no
-// structures) takes exactly the rollback-only path and is not written to
-// beyond it; setting Checkpoint.Enabled on such a heap retrofits the
-// structures during this recovery.
+// structures) takes the rollback-only path and is written to beyond it
+// only to return the pages the crash leaked to each shard's page pool
+// (mdb.DB.ReclaimLeaked); setting Checkpoint.Enabled on such a heap
+// retrofits the structures during this recovery.
 //
 // Recovery itself is crash-safe: an injected crash at any RecoverHook or
 // CheckpointHook boundary quiesces the heap and returns ErrCrashed, and a
@@ -391,6 +390,15 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 	}
 
 	recs := make([]shardRecovery, opts.Shards)
+	if cks == nil {
+		// The crashed trees are kept as they are: return the pages the
+		// crash leaked to their pools, so leaks do not add up over restarts.
+		for _, db := range dbs {
+			if _, err := db.ReclaimLeaked(); err != nil {
+				return nil, rep, fmt.Errorf("kv: %w", err)
+			}
+		}
+	}
 	if cks != nil {
 		// Parallel checkpointed recovery: each worker owns its shard's
 		// thread and tree outright, so the only shared state is the atlas
@@ -717,9 +725,9 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 }
 
 // Get reads k from the shard's last committed snapshot, without entering
-// the writer queue: concurrent commits never block a reader and a reader
-// never blocks the writer. Reads keep working after Close (the heap stays
-// attached) but not after a crash.
+// the writer queue: a reader waits on no commit, only on the shard's
+// snapshot mutex while it pins and unpins the view. Reads keep working
+// after Close (the heap stays attached) but not after a crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -741,9 +749,9 @@ type Pair struct{ K, V uint64 }
 // Keys are hash-routed across shards, so each shard's B+-tree holds an
 // arbitrary key subset: Scan walks every shard's last committed snapshot
 // from start (up to n pairs each) and merges, giving a globally ordered
-// range read. The per-shard snapshots are lock-free but acquired one
-// after another, so the merged view is per-shard — not cross-shard —
-// consistent. Like Get it never enters the writer queue.
+// range read. The per-shard snapshots are pinned one after another, so
+// the merged view is per-shard — not cross-shard — consistent. Like Get it
+// never enters the writer queue.
 func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil

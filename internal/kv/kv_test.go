@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,17 +98,23 @@ func TestGroupCommitMaxBatchBound(t *testing.T) {
 	s := newStore(t, opts)
 	defer s.Close()
 	const n = 16 // exactly two full batches
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(k uint64) {
-			defer wg.Done()
-			if err := s.Put(k, k); err != nil {
-				t.Errorf("put %d: %v", k, err)
-			}
-		}(uint64(i))
+	// Two waves of 8: a batch gathered while its predecessor is still in
+	// flight takes only what is already queued, so each wave starts once
+	// the previous batch has settled and the writer gathers with nothing in
+	// flight, where only the size bound can close the batch.
+	for wave := 0; wave < 2; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < n/2; i++ {
+			wg.Add(1)
+			go func(k uint64) {
+				defer wg.Done()
+				if err := s.Put(k, k); err != nil {
+					t.Errorf("put %d: %v", k, err)
+				}
+			}(uint64(wave*n/2 + i))
+		}
+		wg.Wait() // acks arrived without any timer or shutdown: size-triggered
 	}
-	wg.Wait() // acks arrived without any timer or shutdown: size-triggered
 	st := s.Stats()[0]
 	if st.Batches != 2 || st.BatchedOps != n {
 		t.Fatalf("want 2 full batches of 8, got batches=%d ops=%d", st.Batches, st.BatchedOps)
@@ -256,5 +263,26 @@ func TestPoolExhaustionShedsBatchAndKeepsServing(t *testing.T) {
 		if v, ok, err := s.Get(k); err != nil || !ok || v != k {
 			t.Fatalf("acked Get(%d) = %d,%v,%v after shed batch", k, v, ok, err)
 		}
+	}
+}
+
+// TestGaugeKeysAreStatsKeys pins the gauge set to the STATS schema: every
+// key IsGauge names must be a key the shard line or the stripe line
+// actually renders, so a renamed key cannot silently turn back into a
+// diffed counter.
+func TestGaugeKeysAreStatsKeys(t *testing.T) {
+	rendered := make(map[string]bool)
+	tokens := append(ShardStats{}.Pairs(), strings.Fields(pmem.StripeSummary{}.String())...)
+	for _, tok := range tokens {
+		k, _, _ := strings.Cut(tok, "=")
+		rendered[k] = true
+	}
+	for k := range gaugeKeys {
+		if !rendered[k] {
+			t.Errorf("gauge key %q is not a STATS key", k)
+		}
+	}
+	if IsGauge("puts") || !IsGauge("avg_batch") {
+		t.Error("IsGauge misclassifies puts/avg_batch")
 	}
 }

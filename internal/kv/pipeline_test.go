@@ -10,17 +10,21 @@ import (
 	"nvmcache/internal/core"
 )
 
+// pipelineOptions runs the store's commit pipeline at a geometry other
+// than the default (depth 128, 16 write-backs per batch), so the overlapped
+// protocol is exercised with more, smaller asynchronous batches.
 func pipelineOptions() Options {
 	opts := DefaultOptions()
 	opts.Shards = 4
 	opts.MaxDelay = time.Millisecond
-	opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: 128, BatchSize: 16}
+	opts.Pipeline = core.PipelineConfig{Depth: 128, BatchSize: 16}
 	return opts
 }
 
 // TestPipelinedStoreServes is the normal-operation integration test for the
-// overlapped commit protocol: concurrent clients, acked writes readable,
-// pipeline counters surfaced through STATS, clean close, clean recovery.
+// overlapped commit protocol at that geometry: concurrent clients, acked
+// writes readable, pipeline counters surfaced through STATS, clean close,
+// clean recovery.
 func TestPipelinedStoreServes(t *testing.T) {
 	opts := pipelineOptions()
 	s := newStore(t, opts)
@@ -75,8 +79,9 @@ func TestPipelinedStoreServes(t *testing.T) {
 	}
 }
 
-// TestPipelinedCrashDuringTraffic crashes a pipelined store mid-traffic
-// (an in-flight batch may be published but not yet settled) and checks the
+// TestPipelinedCrashDuringTraffic crashes a store at that geometry
+// mid-traffic (an in-flight batch may be published but not yet settled,
+// with up to 128 write-back batches queued behind it) and checks the
 // service contract: every acked write survives recovery with its exact
 // value, and the recovered store passes its invariants.
 func TestPipelinedCrashDuringTraffic(t *testing.T) {

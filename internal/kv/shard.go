@@ -109,8 +109,8 @@ type shard struct {
 	acc              accumulator
 
 	// inFlight is the previous batch, commit-published but not settled
-	// (awaited, installed for readers, acked). Non-nil only between loop
-	// iterations of the overlapped protocol. Writer goroutine only.
+	// (awaited, installed for readers, acked). Non-nil only between a
+	// batch's publish and its settle. Writer goroutine only.
 	inFlight *flightBatch
 
 	// Checkpoint state (nil when checkpointing is off). ckptCh carries
@@ -181,13 +181,10 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 	sh.snapMu.Unlock()
 }
 
-// publish installs the newly committed root for readers and recycles every
-// parked page no live snapshot can still reach.
-func (sh *shard) publish() { sh.publishView(sh.db.Snapshot(), sh.db.Generation()) }
-
-// publishView is publish with an explicit root/generation: the overlapped
-// protocol settles batch N after batch N+1 has already advanced the tree,
-// so readers must be handed N's root, not the db's current (still
+// publishView installs a durable root/generation for readers and recycles
+// every parked page no live snapshot can still reach. The root is passed
+// explicitly because batch N settles after batch N+1 has already advanced
+// the tree: readers must be handed N's root, not the db's current (still
 // undurable) one.
 func (sh *shard) publishView(root, gen uint64) {
 	sh.snapMu.Lock()
@@ -220,12 +217,12 @@ func (sh *shard) publishView(root, gen uint64) {
 // run is the shard's writer loop: take the first waiting request, gather a
 // batch (bounded by MaxBatch and MaxDelay), commit it as one FASE, ack.
 //
-// With the flush pipeline enabled the loop is overlapped: commitBatch
-// leaves the batch in flight (published, draining in the background) and
-// the writer immediately starts the next batch if work is already queued —
-// batch N+1's stores and undo logging run concurrently with batch N's
-// drain — settling the in-flight batch (await, install root, ack) as soon
-// as the queue goes idle or its successor is published.
+// The loop is overlapped: commitBatch leaves the batch in flight
+// (published, draining through the flush pipeline) and the writer
+// immediately starts the next batch if work is already queued — batch
+// N+1's stores and undo logging run concurrently with batch N's drain —
+// settling the in-flight batch (await, install root, ack) as soon as the
+// queue goes idle or its successor is published.
 func (sh *shard) run() {
 	defer close(sh.done)
 	// Parked counter requests survive loop iterations; if the writer exits
@@ -413,15 +410,14 @@ const (
 	batchCommitted     batchOutcome = iota
 	batchBeginErr                   // opening the transaction failed
 	batchFailed                     // pre-commit op failure; transaction aborted
-	batchCommitErr                  // the durable commit itself failed
+	batchCommitErr                  // publishing the commit failed
 	batchCrashInjected              // power failure injected mid-FASE on this shard
 	batchCrashRace                  // a concurrent crash caught this shard mid-FASE
 )
 
-// commitBatch applies the batch inside one FASE and acks after the commit
-// is durable — directly, or (overlapped protocol) by leaving the published
-// batch in flight for a later settle. It reports whether the store crashed
-// (the writer must exit).
+// commitBatch applies the batch inside one FASE and publishes it, leaving
+// it in flight: its acks go out at a later settle, once the commit is
+// durable. It reports whether the store crashed (the writer must exit).
 func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	if sh.st.crashing.Load() {
 		sh.dropInFlight()
@@ -484,12 +480,9 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		nackAll(batch, failed)
 		return sh.settle()
 	case batchCrashInjected:
-		// Injected power failure: if it hit mid-FASE the undo log is still
-		// active and Recover rolls the batch back in full; if it hit at the
-		// ack boundary the batch is durable but nacked, which the service
-		// contract permits (ErrCrashed promises nothing either way). An
-		// in-flight predecessor is unawaited — still active, rolled back —
-		// and was never acked.
+		// Injected power failure mid-FASE: the undo log is still active and
+		// Recover rolls the batch back in full. An in-flight predecessor is
+		// unawaited — still active, rolled back — and was never acked.
 		sh.st.initiateCrash(sh)
 		sh.dropInFlight()
 		nackAll(batch, ErrCrashed)
@@ -504,24 +497,16 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	if plan != nil {
 		applied, fold = len(plan.writes), plan.fold
 	}
-	if pc != nil {
-		// Overlapped commit: the batch is published and draining. Settle its
-		// predecessor (whose drain ran while this batch was applying), then
-		// leave this one in flight.
-		if sh.settle() {
-			nackAll(batch, ErrCrashed)
-			return true
-		}
-		sh.inFlight = &flightBatch{batch: batch, results: results, pc: pc,
-			root: sh.db.Snapshot(), gen: sh.db.Generation(), pre: pre, post: post,
-			applied: applied, fold: fold}
-		return false
+	// The batch is published and draining. Settle its predecessor (whose
+	// drain ran while this batch was applying), then leave this one in
+	// flight.
+	if sh.settle() {
+		nackAll(batch, ErrCrashed)
+		return true
 	}
-	sh.publish()
-	sh.note(batch, applied, pre, post)
-	for i := range batch {
-		batch[i].done <- results[i]
-	}
+	sh.inFlight = &flightBatch{batch: batch, results: results, pc: pc,
+		root: sh.db.Snapshot(), gen: sh.db.Generation(), pre: pre, post: post,
+		applied: applied, fold: fold}
 	return false
 }
 
@@ -535,7 +520,8 @@ func (sh *shard) settle() (crashed bool) {
 		return false
 	}
 	sh.inFlight = nil
-	if sh.crashedDuring(fb.pc.Await) {
+	var durable bool
+	if sh.crashedDuring(func() { durable = fb.pc.Await() }) {
 		// An injected crash at the undo-commit boundary inside the await:
 		// the epoch is persisted but the log is still active, so Recover
 		// rolls the batch back — never acked, consistent.
@@ -543,29 +529,17 @@ func (sh *shard) settle() (crashed bool) {
 		nackAll(fb.batch, ErrCrashed)
 		return true
 	}
-	if sh.st.crashing.Load() {
-		// The await may have been cut short by the crash's pipeline abort,
-		// leaving the batch's log active (Recover rolls it back). Either
-		// way its requesters were never acked, so ErrCrashed is honest.
+	if !durable {
+		// A concurrent crash's pipeline abort cut the await short: the
+		// batch's log is still active and Recover rolls it back, so
+		// ErrCrashed is exact. A batch that did become durable is acked
+		// below even while the crash proceeds — the writer delivers its
+		// acks before the heap is cut, and they are true.
 		nackAll(fb.batch, ErrCrashed)
 		return true
 	}
-	if hook := sh.st.opts.AckHook; hook != nil {
-		// The last crash boundary: the commit is durable but no requester
-		// has been told. A crash here must lose no data, only acks.
-		if sh.crashedDuring(func() { hook(sh.id) }) {
-			sh.st.initiateCrash(sh)
-			nackAll(fb.batch, ErrCrashed)
-			return true
-		}
-	}
-	if fb.fold {
-		// Same boundary, for the parked counter acks this commit carries.
-		if sh.crashedDuring(func() { sh.absorbHook(AbsorbAck) }) {
-			sh.st.initiateCrash(sh)
-			nackAll(fb.batch, ErrCrashed)
-			return true
-		}
+	if sh.crossAckBoundary(fb.batch, fb.fold) {
+		return true
 	}
 	sh.publishView(fb.root, fb.gen)
 	sh.note(fb.batch, fb.applied, fb.pre, fb.post)
@@ -573,6 +547,27 @@ func (sh *shard) settle() (crashed bool) {
 		fb.batch[i].done <- fb.results[i]
 	}
 	return false
+}
+
+// crossAckBoundary fires the ack hook and, when the commit carries parked
+// counter acks (fold), the absorb-ack hook: the last crash boundaries, where
+// the commit is durable but no requester has been told, so a crash must lose
+// no data, only acks. On an injected crash it crashes the store, nacks acks
+// and reports true.
+func (sh *shard) crossAckBoundary(acks []request, fold bool) (crashed bool) {
+	if !sh.crashedDuring(func() {
+		if hook := sh.st.opts.AckHook; hook != nil {
+			hook(sh.id)
+		}
+		if fold {
+			sh.absorbHook(AbsorbAck)
+		}
+	}) {
+		return false
+	}
+	sh.st.initiateCrash(sh)
+	nackAll(acks, ErrCrashed)
+	return true
 }
 
 // crashedDuring runs fn, converting a panic claimed by
@@ -604,9 +599,8 @@ func (sh *shard) dropInFlight() {
 }
 
 // applyBatch runs the whole FASE — Begin, the batch's mutations, the crash
-// hooks, and the commit: a durable synchronous commit normally, or a
-// publish (mdb.CommitPublish, pc non-nil) under the overlapped protocol,
-// in which case the ack hook and the acks are deferred to settle. A panic
+// hooks, and the commit publish (mdb.CommitPublish): the returned pending
+// commit becomes durable at settle, which also fires the ack hook. A panic
 // claimed by Options.IsInjectedCrash — a fault-injection site firing
 // inside a store, flush, or undo-log write — abandons the FASE with its
 // undo log still active, exactly as a power failure at that instruction
@@ -716,24 +710,9 @@ func (sh *shard) applyBatch(batch []request, results []result, plan *commitPlan)
 		// committing, exactly as the power failure would.
 		return batchCrashRace, nil, ErrCrashed
 	}
-	if sh.st.opts.Pipeline.Enabled {
-		pc, cerr := sh.db.CommitPublish()
-		if cerr != nil {
-			return batchCommitErr, nil, cerr
-		}
-		return batchCommitted, pc, nil
+	pc, cerr := sh.db.CommitPublish()
+	if cerr != nil {
+		return batchCommitErr, nil, cerr
 	}
-	if err := sh.db.Commit(); err != nil {
-		return batchCommitErr, nil, err
-	}
-	if hook := sh.st.opts.AckHook; hook != nil {
-		// The last crash boundary: the commit is durable but no requester
-		// has been told. A crash here must lose no data, only acks.
-		hook(sh.id)
-	}
-	if plan != nil && plan.fold {
-		// Same boundary, for the parked counter acks this commit carries.
-		sh.absorbHook(AbsorbAck)
-	}
-	return batchCommitted, nil, nil
+	return batchCommitted, pc, nil
 }

@@ -57,9 +57,9 @@ type counters struct {
 	recMode, recFallbacks    atomic.Uint64
 	recReplayed, recRestored atomic.Uint64
 
-	// Flush-pipeline snapshots (zero while the pipeline is disabled),
-	// published like the flush counters above. The snapshot is taken at the
-	// batch's publish, so gauges lag the live pipeline by at most one batch.
+	// Flush-pipeline snapshots, published like the flush counters above.
+	// The snapshot is taken at the batch's publish, so gauges lag the live
+	// pipeline by at most one batch.
 	pipeBatches  atomic.Int64
 	pipeLines    atomic.Int64
 	pipeBatchMax atomic.Int64
@@ -176,11 +176,11 @@ type ShardStats struct {
 	// Commit drain latency percentiles over recent batches, in simulated
 	// cycles.
 	CommitP50, CommitP99 float64
-	// Flush-pipeline instrumentation (all zero when Options.Pipeline is
-	// disabled): worker batches handed to the inner sink and their total /
-	// largest line count, epochs published, the ring-depth high-water mark,
-	// backpressure stall events with their cumulative wall time, and the
-	// wall time the writer spent awaiting epoch persistence at settle.
+	// Flush-pipeline instrumentation: worker batches handed to the inner
+	// sink and their total / largest line count, epochs published, the
+	// ring-depth high-water mark, backpressure stall events with their
+	// cumulative wall time, and the wall time the writer spent awaiting
+	// epoch persistence at settle.
 	PipeBatches, PipeBatchLines, PipeBatchMax int64
 	PipeEpochs, PipeDepthMax                  int64
 	PipeStalls, PipeStallNanos                int64
@@ -239,11 +239,13 @@ func (st ShardStats) FlushRatio() float64 {
 }
 
 // Pairs returns every field as a `key=value` token with the keys in
-// sorted order. The key set is fixed (pipeline gauges are present even when
-// the pipeline is off), so STATS output is a stable, machine-diffable
-// schema: internal/nvclient parses these tokens and internal/loadgen diffs
-// two snapshots to report per-run server-side deltas in BENCH_*.json.
-// Values are plain decimals; units live in the key name (_cyc, _ms).
+// sorted order. The key set is fixed (every subsystem's keys are present
+// whether or not it is enabled), so STATS output is a stable,
+// machine-diffable schema: internal/nvclient parses these tokens and
+// internal/loadgen diffs two snapshots to report per-run server-side
+// deltas in BENCH_*.json, taking the keys IsGauge names as levels rather
+// than counts. Values are plain decimals; units live in the key name
+// (_cyc, _ms).
 func (st ShardStats) Pairs() []string {
 	pairs := []string{
 		fmt.Sprintf("aborts=%d", st.Aborts),
@@ -295,6 +297,22 @@ func (st ShardStats) Pairs() []string {
 	sort.Strings(pairs) // belt and braces: keys above are already sorted
 	return pairs
 }
+
+// gaugeKeys are the STATS keys (Pairs and the stripe line from
+// Store.StripeSummary) whose values are levels — ratios, percentiles,
+// maxima, the newest image, the recovery outcome — not running counts.
+var gaugeKeys = map[string]bool{
+	"absorb_ratio": true, "adaptive_cap": true, "adaptive_last": true, "avg_batch": true,
+	"checkpoint_last_gen": true, "checkpoint_pairs": true, "commit_p50_cyc": true,
+	"commit_p99_cyc": true, "flush_ratio": true, "pipe_batch_max": true, "pipe_depth_max": true,
+	"recovery_fallbacks": true, "recovery_mode": true, "recovery_replayed": true,
+	"recovery_restored": true, "stripes": true, "contention": true, "hot_stripe": true,
+	"hot_acquired": true,
+}
+
+// IsGauge reports whether a STATS key (a Pairs key or a stripe-line key)
+// is a gauge; every other key is a monotone counter.
+func IsGauge(key string) bool { return gaugeKeys[key] }
 
 // String renders one STATS line: the row identifier (shard=N, or `total`
 // for the aggregate) followed by the sorted Pairs.

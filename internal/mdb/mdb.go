@@ -239,11 +239,12 @@ func (db *DB) CommitPublish() (*PendingCommit, error) {
 // Await blocks until the published transaction is durable, then recycles
 // (or hands to the free hook) the page versions it superseded. Must be
 // called from the store's single writer, before any later transaction's
-// Await.
-func (pc *PendingCommit) Await() {
+// Await. It reports whether the transaction is durable: false only when a
+// crash aborted the flush pipeline first, and recovery then rolls it back.
+func (pc *PendingCommit) Await() (durable bool) {
 	db := pc.db
-	db.t.FASEAwait(pc.ticket)
-	if db.recycle && len(pc.freed) > 0 {
+	durable = db.t.FASEAwait(pc.ticket)
+	if durable && db.recycle && len(pc.freed) > 0 {
 		if db.freeHook != nil {
 			db.freeHook(pc.gen, pc.freed)
 		} else {
@@ -253,6 +254,7 @@ func (pc *PendingCommit) Await() {
 		}
 	}
 	pc.freed = nil
+	return durable
 }
 
 // Generation returns pc's committed generation.
@@ -318,6 +320,34 @@ func (db *DB) ResetForRebuild() error {
 	db.t.Store64(db.meta, 0)
 	db.t.FASEEnd()
 	return nil
+}
+
+// ReclaimLeaked rebuilds the page pool's free list from the committed
+// tree: every allocated page the tree does not reach becomes free again.
+// Pool updates are not undo-logged, so a crash leaks the pages a
+// rolled-back transaction had allocated, and a serving store also loses
+// the superseded pages it had parked for snapshot readers. Recovery that
+// keeps the crashed tree calls this so leaks do not accumulate across
+// crashes. It returns the number of free pages; see pmem.Pool.Rebuild for
+// its crash behaviour.
+func (db *DB) ReclaimLeaked() (int, error) {
+	if db.inTxn {
+		return 0, fmt.Errorf("mdb: ReclaimLeaked inside transaction")
+	}
+	live := make(map[uint64]bool)
+	var walk func(p uint64)
+	walk = func(p uint64) {
+		live[p] = true
+		if db.ptype(p) == pageBranch {
+			for i := 0; i < db.nkeys(p); i++ {
+				walk(db.val(p, i))
+			}
+		}
+	}
+	if root := db.Snapshot(); root != 0 {
+		walk(root)
+	}
+	return db.pool.Rebuild(func(p uint64) bool { return live[p] }), nil
 }
 
 // ForceGeneration overwrites the committed generation (one tiny FASE).

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"nvmcache/internal/kv"
 )
 
 // Stats is one parsed STATS reply: the server emits one line per shard, an
@@ -82,20 +84,18 @@ func parsePairs(tokens []string) (map[string]float64, error) {
 	return m, nil
 }
 
-// Diff returns cur−prev for every key of the total and stripes lines,
-// prefixed "total." and "stripes.". The subtraction is meaningful for the
-// monotone counters (ops, puts, gets, flushes, pipe_stalls, acquired,
-// contended, …); gauge keys (percentiles, ratios, maxima) are included for
-// completeness but should be read from the final snapshot instead.
+// Diff returns, for every key of the total and stripes lines (prefixed
+// "total." and "stripes."), cur−prev for a counter and cur itself for a
+// gauge (kv.IsGauge: percentiles, ratios, maxima, recovery outcome), whose
+// difference would mean nothing.
 func (s *Stats) Diff(prev *Stats) map[string]float64 {
 	out := make(map[string]float64, len(s.Total)+len(s.Stripes))
 	sub := func(prefix string, cur, old map[string]float64) {
 		for k, v := range cur {
-			p := 0.0
-			if old != nil {
-				p = old[k]
+			if !kv.IsGauge(k) {
+				v -= old[k]
 			}
-			out[prefix+k] = v - p
+			out[prefix+k] = v
 		}
 	}
 	var pt, ps map[string]float64

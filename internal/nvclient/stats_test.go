@@ -108,6 +108,43 @@ func TestStatsDiff(t *testing.T) {
 	}
 }
 
+// TestStatsDiffGauges is the regression test for diffed gauges: a level
+// that fell between two snapshots (a batch-size mean, a maximum from a
+// recovered store, a ratio) must come out as its current value, never as
+// a negative or otherwise meaningless difference.
+func TestStatsDiffGauges(t *testing.T) {
+	before, err := ParseStats(statsLines([]kv.ShardStats{{Shard: 0, Batches: 2, BatchedOps: 256,
+		PipeBatchMax: 64, PipeDepthMax: 200, CommitP99: 900, RecoveryMode: 2, Puts: 256}},
+		"stripes=64 acquired=10 contended=5 contention=0.5000 hot_stripe=7 hot_acquired=9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := ParseStats(statsLines([]kv.ShardStats{{Shard: 0, Batches: 12, BatchedOps: 296,
+		PipeBatchMax: 8, PipeDepthMax: 30, CommitP99: 400, RecoveryMode: 2, Puts: 296}},
+		"stripes=64 acquired=30 contended=6 contention=0.2000 hot_stripe=3 hot_acquired=12"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := after.Diff(before)
+	want := map[string]float64{
+		"total.avg_batch": 24.67, "total.pipe_batch_max": 8, "total.pipe_depth_max": 30,
+		"total.commit_p99_cyc": 400, "total.recovery_mode": 2, "total.flush_ratio": 0,
+		"stripes.stripes": 64, "stripes.contention": 0.2, "stripes.hot_stripe": 3, "stripes.hot_acquired": 12,
+		// counters still subtract
+		"total.batches": 10, "total.ops": 40, "total.puts": 40, "stripes.acquired": 20, "stripes.contended": 1,
+	}
+	for k, v := range want {
+		if d[k] != v {
+			t.Errorf("Diff[%s] = %v, want %v", k, d[k], v)
+		}
+	}
+	for k, v := range d {
+		if v < 0 {
+			t.Errorf("Diff[%s] = %v is negative", k, v)
+		}
+	}
+}
+
 func TestParseStatsRejectsGarbage(t *testing.T) {
 	for _, lines := range [][]string{
 		{"shard=0 puts=1"},                 // no total line

@@ -132,6 +132,33 @@ func (p *Pool) Reset() {
 	p.heap.Persist(p.base+poolCursorOff, 8)
 }
 
+// Rebuild replaces the free list with every block below the arena cursor
+// that live reports false for — the recovery-time sweep that returns the
+// blocks crashes leak (see mdb.DB.ReclaimLeaked). The head is cleared
+// first, so a crash midway leaves an empty free list, a valid leaky pool,
+// never a list through half-rewritten links; running the sweep again
+// finishes the job. The new list is in ascending address order, so the
+// result depends only on the pool and live. It returns the list's length.
+func (p *Pool) Rebuild(live func(block uint64) bool) int {
+	p.heap.WriteUint64(p.base+poolHeadOff, 0)
+	p.heap.Persist(p.base+poolHeadOff, 8)
+	arena, bs := p.base+poolHdr, p.BlockSize()
+	head, n := uint64(0), 0
+	for b := p.heap.ReadUint64(p.base + poolCursorOff); b > arena; {
+		b -= bs
+		if live(b) {
+			continue
+		}
+		p.heap.WriteUint64(b, head)
+		p.heap.Persist(b, 8)
+		head = b
+		n++
+	}
+	p.heap.WriteUint64(p.base+poolHeadOff, head)
+	p.heap.Persist(p.base+poolHeadOff, 8)
+	return n
+}
+
 // FreeCount walks the free list (diagnostics; O(free blocks)).
 func (p *Pool) FreeCount() int {
 	n := 0
